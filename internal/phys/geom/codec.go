@@ -2,6 +2,7 @@ package geom
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/parallax-arch/parallax/internal/phys/enc"
 )
@@ -33,6 +34,10 @@ const (
 	tagTriMesh
 	tagHull
 )
+
+// validCell reports whether a heightfield cell size is finite and
+// positive (NaN fails the comparison).
+func validCell(c float64) bool { return c > 0 && !math.IsInf(c, 1) }
 
 func encodeTris(w *enc.Writer, tris []Tri) {
 	w.U32(uint32(len(tris)))
@@ -137,6 +142,11 @@ func DecodeShape(r *enc.Reader) (Shape, error) {
 		}
 		if nx < 0 || nz < 0 || nx*nz != len(heights) {
 			return nil, fmt.Errorf("geom: heightfield %dx%d does not match %d heights", nx, nz, len(heights))
+		}
+		// The ray march steps by half a cell: a zero, negative or
+		// non-finite cell size would never reach the end of the ray.
+		if !validCell(cellX) || !validCell(cellZ) {
+			return nil, fmt.Errorf("geom: heightfield cell %vx%v is not finite and positive", cellX, cellZ)
 		}
 		s = NewHeightField(nx, nz, cellX, cellZ, heights)
 	case tagTriMesh:

@@ -18,7 +18,10 @@ import (
 // island-processing phase: J*v = RHS with the impulse bounded by
 // [Lo, Hi] (scaled by the normal impulse for friction rows).
 type Row struct {
-	// BodyA and BodyB are world body indices; -1 means the static world.
+	// BodyA and BodyB name the bodies the row acts on; -1 means the
+	// static world. Joints and contacts emit world body indices; the
+	// world rewrites them to island-local indices (positions in the
+	// body list passed to solver.Solve) before solving.
 	BodyA, BodyB int32
 	// Jacobian halves: the constraint velocity is
 	// JLinA.vA + JAngA.wA + JLinB.vB + JAngB.wB.

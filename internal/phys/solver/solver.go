@@ -45,51 +45,69 @@ type Stats struct {
 	ImpulseNorm float64
 }
 
-// Workspace holds the per-row temporaries one Solve call needs. A
-// caller that steps repeatedly keeps one Workspace per worker thread and
-// passes it back in, so steady-state solving does not allocate: the
-// slices grow to the largest island seen and are then reused.
+// Workspace holds the per-body and per-row temporaries one Solve call
+// needs. A caller that steps repeatedly keeps one Workspace per worker
+// thread and passes it back in, so steady-state solving does not
+// allocate: the slices grow to the largest island seen and are then
+// reused.
 type Workspace struct {
-	pLinA, pAngA []m3.Vec
-	pLinB, pAngB []m3.Vec
-	invDen       []float64
-	lambda       []float64
+	// Island-local body state, indexed like Solve's bs: gathered once
+	// at the start of a solve, scattered back once at the end.
+	linVel, angVel []m3.Vec
+	invMass        []float64
+	invInertia     []m3.Mat // world frame: R·I⁻¹·Rᵀ
+
+	// Per-row state: the impulse-to-velocity propagation of each row
+	// endpoint with its effective mass, and the accumulated impulse.
+	prop   []rowProp
+	lambda []float64
 }
 
-// grow resizes the workspace for n rows, reusing prior capacity.
-func (ws *Workspace) grow(n int) {
-	if cap(ws.lambda) < n {
+// rowProp is one row's precomputed propagation: Δv = pLin·Δλ and
+// Δω = pAng·Δλ for each endpoint, and 1/(J·M⁻¹·Jᵀ + CFM). Kept
+// in one record so a row update reads it contiguously.
+type rowProp struct {
+	pLinA, pAngA m3.Vec
+	pLinB, pAngB m3.Vec
+	invDen       float64
+}
+
+// grow resizes the workspace for nb bodies and n rows, reusing prior
+// capacity. Only lambda is cleared: every other slice is written before
+// it is read.
+func (ws *Workspace) grow(nb, n int) {
+	if cap(ws.linVel) < nb {
 		// Capacity growth to the largest island seen, then reused forever.
-		ws.pLinA = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.pAngA = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.pLinB = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.pAngB = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.invDen = make([]float64, n) //paraxlint:allow(parsafe)
+		ws.linVel = make([]m3.Vec, nb)     //paraxlint:allow(parsafe)
+		ws.angVel = make([]m3.Vec, nb)     //paraxlint:allow(parsafe)
+		ws.invMass = make([]float64, nb)   //paraxlint:allow(parsafe)
+		ws.invInertia = make([]m3.Mat, nb) //paraxlint:allow(parsafe)
+	}
+	ws.linVel = ws.linVel[:nb]
+	ws.angVel = ws.angVel[:nb]
+	ws.invMass = ws.invMass[:nb]
+	ws.invInertia = ws.invInertia[:nb]
+	if cap(ws.lambda) < n {
+		// Likewise for the row arrays.
+		ws.prop = make([]rowProp, n)   //paraxlint:allow(parsafe)
 		ws.lambda = make([]float64, n) //paraxlint:allow(parsafe)
 		return
 	}
-	ws.pLinA = ws.pLinA[:n]
-	ws.pAngA = ws.pAngA[:n]
-	ws.pLinB = ws.pLinB[:n]
-	ws.pAngB = ws.pAngB[:n]
-	ws.invDen = ws.invDen[:n]
+	ws.prop = ws.prop[:n]
 	ws.lambda = ws.lambda[:n]
-	for i := range ws.lambda {
-		ws.pLinA[i] = m3.Zero
-		ws.pAngA[i] = m3.Zero
-		ws.pLinB[i] = m3.Zero
-		ws.pAngB[i] = m3.Zero
-		ws.invDen[i] = 0
-		ws.lambda[i] = 0
-	}
+	clear(ws.lambda)
 }
 
-// Solve runs the PGS iteration for one island's rows, mutating body
-// velocities in place. jointLoad, if non-nil, is indexed by joint id and
-// accumulates the constraint force magnitude per joint (for breakable
-// joints). ws, if non-nil, provides reusable per-row storage; the
-// returned impulse slice aliases it and is valid until the workspace's
-// next Solve. A nil ws allocates a temporary workspace.
+// Solve runs the PGS iteration for one island's rows. bs holds the
+// island's bodies and rows address them by index into bs (island-local
+// index; -1 is the static world). The bodies' velocities, masses and
+// world-frame inverse inertias are gathered once into dense workspace
+// arrays, the sweeps read and write only those, and the velocities are
+// scattered back to the bodies at the end. jointLoad, if non-nil, is
+// indexed by joint id and accumulates the constraint force magnitude
+// per joint (for breakable joints). ws, if non-nil, provides reusable
+// storage; the returned impulse slice aliases it and is valid until the
+// workspace's next Solve. A nil ws allocates a temporary workspace.
 func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 	jointLoad []float64, st *Stats, ws *Workspace) []float64 {
 
@@ -105,31 +123,37 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 	if ws == nil {
 		ws = &Workspace{} //paraxlint:allow(parsafe) convenience fallback; the engine always passes a workspace
 	}
-	ws.grow(n)
-	pLinA, pAngA := ws.pLinA, ws.pAngA
-	pLinB, pAngB := ws.pLinB, ws.pAngB
-	invDen, lambda := ws.invDen, ws.lambda
+	ws.grow(len(bs), n)
+	linVel, angVel := ws.linVel, ws.angVel
+	invMass, invInertia := ws.invMass, ws.invInertia
+	prop, lambda := ws.prop, ws.lambda
+
+	// Gather: one world-inertia rotation per body, not per row endpoint.
+	for k, b := range bs {
+		linVel[k] = b.LinVel
+		angVel[k] = b.AngVel
+		invMass[k] = b.InvMass
+		invInertia[k] = b.InvInertiaWorld()
+	}
 
 	// Precompute per-row propagation vectors and effective masses.
 	for i := range rows {
-		r := &rows[i]
+		r, p := &rows[i], &prop[i]
 		den := r.CFM
-		if r.BodyA >= 0 {
-			a := bs[r.BodyA]
-			pLinA[i] = r.JLinA.Scale(a.InvMass)
-			pAngA[i] = a.InvInertiaWorld().MulVec(r.JAngA)
-			den += r.JLinA.Dot(pLinA[i]) + r.JAngA.Dot(pAngA[i])
+		if a := r.BodyA; a >= 0 {
+			p.pLinA = r.JLinA.Scale(invMass[a])
+			p.pAngA = invInertia[a].MulVec(r.JAngA)
+			den += r.JLinA.Dot(p.pLinA) + r.JAngA.Dot(p.pAngA)
 		}
-		if r.BodyB >= 0 {
-			b := bs[r.BodyB]
-			pLinB[i] = r.JLinB.Scale(b.InvMass)
-			pAngB[i] = b.InvInertiaWorld().MulVec(r.JAngB)
-			den += r.JLinB.Dot(pLinB[i]) + r.JAngB.Dot(pAngB[i])
+		if b := r.BodyB; b >= 0 {
+			p.pLinB = r.JLinB.Scale(invMass[b])
+			p.pAngB = invInertia[b].MulVec(r.JAngB)
+			den += r.JLinB.Dot(p.pLinB) + r.JAngB.Dot(p.pAngB)
 		}
 		if den < m3.Eps {
-			invDen[i] = 0
+			p.invDen = 0
 		} else {
-			invDen[i] = 1 / den
+			p.invDen = 1 / den
 		}
 	}
 
@@ -137,36 +161,32 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 	// iteration starts near the converged solution (persistent contact
 	// manifolds make stacks converge in far fewer sweeps).
 	for i := range rows {
-		r := &rows[i]
+		r, p := &rows[i], &prop[i]
 		if r.Warm == 0 {
 			continue
 		}
 		lambda[i] = r.Warm
-		if r.BodyA >= 0 {
-			a := bs[r.BodyA]
-			a.LinVel = a.LinVel.Add(pLinA[i].Scale(r.Warm))
-			a.AngVel = a.AngVel.Add(pAngA[i].Scale(r.Warm))
+		if a := r.BodyA; a >= 0 {
+			linVel[a] = linVel[a].Add(p.pLinA.Scale(r.Warm))
+			angVel[a] = angVel[a].Add(p.pAngA.Scale(r.Warm))
 		}
-		if r.BodyB >= 0 {
-			b := bs[r.BodyB]
-			b.LinVel = b.LinVel.Add(pLinB[i].Scale(r.Warm))
-			b.AngVel = b.AngVel.Add(pAngB[i].Scale(r.Warm))
+		if b := r.BodyB; b >= 0 {
+			linVel[b] = linVel[b].Add(p.pLinB.Scale(r.Warm))
+			angVel[b] = angVel[b].Add(p.pAngB.Scale(r.Warm))
 		}
 	}
 	for it := 0; it < s.Iterations; it++ {
 		for i := range rows {
-			r := &rows[i]
+			r, p := &rows[i], &prop[i]
 			// Current constraint velocity.
 			vel := 0.0
-			if r.BodyA >= 0 {
-				a := bs[r.BodyA]
-				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
+			if a := r.BodyA; a >= 0 {
+				vel += r.JLinA.Dot(linVel[a]) + r.JAngA.Dot(angVel[a])
 			}
-			if r.BodyB >= 0 {
-				b := bs[r.BodyB]
-				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
+			if b := r.BodyB; b >= 0 {
+				vel += r.JLinB.Dot(linVel[b]) + r.JAngB.Dot(angVel[b])
 			}
-			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * invDen[i]
+			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * p.invDen
 
 			lo, hi := r.Lo, r.Hi
 			if r.FrictionOf >= 0 {
@@ -186,17 +206,21 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 			}
 			lambda[i] = nl
 
-			if r.BodyA >= 0 {
-				a := bs[r.BodyA]
-				a.LinVel = a.LinVel.Add(pLinA[i].Scale(dl))
-				a.AngVel = a.AngVel.Add(pAngA[i].Scale(dl))
+			if a := r.BodyA; a >= 0 {
+				linVel[a] = linVel[a].Add(p.pLinA.Scale(dl))
+				angVel[a] = angVel[a].Add(p.pAngA.Scale(dl))
 			}
-			if r.BodyB >= 0 {
-				b := bs[r.BodyB]
-				b.LinVel = b.LinVel.Add(pLinB[i].Scale(dl))
-				b.AngVel = b.AngVel.Add(pAngB[i].Scale(dl))
+			if b := r.BodyB; b >= 0 {
+				linVel[b] = linVel[b].Add(p.pLinB.Scale(dl))
+				angVel[b] = angVel[b].Add(p.pAngB.Scale(dl))
 			}
 		}
+	}
+
+	// Scatter: the solved velocities go back to the bodies once.
+	for k, b := range bs {
+		b.LinVel = linVel[k]
+		b.AngVel = angVel[k]
 	}
 
 	if jointLoad != nil {
@@ -216,13 +240,11 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 		for i := range rows {
 			r := &rows[i]
 			vel := 0.0
-			if r.BodyA >= 0 {
-				a := bs[r.BodyA]
-				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
+			if a := r.BodyA; a >= 0 {
+				vel += r.JLinA.Dot(linVel[a]) + r.JAngA.Dot(angVel[a])
 			}
-			if r.BodyB >= 0 {
-				b := bs[r.BodyB]
-				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
+			if b := r.BodyB; b >= 0 {
+				vel += r.JLinB.Dot(linVel[b]) + r.JAngB.Dot(angVel[b])
 			}
 			err := r.RHS - vel - r.CFM*lambda[i]
 			lo, hi := r.Lo, r.Hi

@@ -352,3 +352,322 @@ func TestWarmStartIdempotent(t *testing.T) {
 			b2.LinVel.Y, b.LinVel.Y)
 	}
 }
+
+// refSolve is the pointer-chasing kernel the dense one replaced, kept
+// verbatim as the oracle: rows address bs by world body index and every
+// row endpoint recomputes its body's world inverse inertia.
+func refSolve(s *Solver, bs []*body.Body, rows []joint.Row, dt float64,
+	jointLoad []float64, st *Stats) []float64 {
+
+	n := len(rows)
+	if st != nil {
+		st.Rows += n
+		st.Iterations = s.Iterations
+		st.RowUpdates += n * s.Iterations
+	}
+	if n == 0 {
+		return nil
+	}
+	pLinA, pAngA := make([]m3.Vec, n), make([]m3.Vec, n)
+	pLinB, pAngB := make([]m3.Vec, n), make([]m3.Vec, n)
+	invDen, lambda := make([]float64, n), make([]float64, n)
+	for i := range rows {
+		r := &rows[i]
+		den := r.CFM
+		if r.BodyA >= 0 {
+			a := bs[r.BodyA]
+			pLinA[i] = r.JLinA.Scale(a.InvMass)
+			pAngA[i] = a.InvInertiaWorld().MulVec(r.JAngA)
+			den += r.JLinA.Dot(pLinA[i]) + r.JAngA.Dot(pAngA[i])
+		}
+		if r.BodyB >= 0 {
+			b := bs[r.BodyB]
+			pLinB[i] = r.JLinB.Scale(b.InvMass)
+			pAngB[i] = b.InvInertiaWorld().MulVec(r.JAngB)
+			den += r.JLinB.Dot(pLinB[i]) + r.JAngB.Dot(pAngB[i])
+		}
+		if den < m3.Eps {
+			invDen[i] = 0
+		} else {
+			invDen[i] = 1 / den
+		}
+	}
+	for i := range rows {
+		r := &rows[i]
+		if r.Warm == 0 {
+			continue
+		}
+		lambda[i] = r.Warm
+		if r.BodyA >= 0 {
+			a := bs[r.BodyA]
+			a.LinVel = a.LinVel.Add(pLinA[i].Scale(r.Warm))
+			a.AngVel = a.AngVel.Add(pAngA[i].Scale(r.Warm))
+		}
+		if r.BodyB >= 0 {
+			b := bs[r.BodyB]
+			b.LinVel = b.LinVel.Add(pLinB[i].Scale(r.Warm))
+			b.AngVel = b.AngVel.Add(pAngB[i].Scale(r.Warm))
+		}
+	}
+	for it := 0; it < s.Iterations; it++ {
+		for i := range rows {
+			r := &rows[i]
+			vel := 0.0
+			if r.BodyA >= 0 {
+				a := bs[r.BodyA]
+				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
+			}
+			if r.BodyB >= 0 {
+				b := bs[r.BodyB]
+				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
+			}
+			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * invDen[i]
+			lo, hi := r.Lo, r.Hi
+			if r.FrictionOf >= 0 {
+				limit := r.Mu * math.Abs(lambda[r.FrictionOf])
+				lo, hi = -limit, limit
+			}
+			old := lambda[i]
+			nl := old + dl
+			if nl < lo {
+				nl = lo
+			} else if nl > hi {
+				nl = hi
+			}
+			dl = nl - old
+			if dl == 0 {
+				continue
+			}
+			lambda[i] = nl
+			if r.BodyA >= 0 {
+				a := bs[r.BodyA]
+				a.LinVel = a.LinVel.Add(pLinA[i].Scale(dl))
+				a.AngVel = a.AngVel.Add(pAngA[i].Scale(dl))
+			}
+			if r.BodyB >= 0 {
+				b := bs[r.BodyB]
+				b.LinVel = b.LinVel.Add(pLinB[i].Scale(dl))
+				b.AngVel = b.AngVel.Add(pAngB[i].Scale(dl))
+			}
+		}
+	}
+	if jointLoad != nil {
+		for i := range rows {
+			r := &rows[i]
+			if r.Joint >= 0 && int(r.Joint) < len(jointLoad) {
+				jointLoad[r.Joint] += math.Abs(lambda[i]) / dt
+			}
+		}
+	}
+	if st != nil {
+		for i := range rows {
+			r := &rows[i]
+			vel := 0.0
+			if r.BodyA >= 0 {
+				a := bs[r.BodyA]
+				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
+			}
+			if r.BodyB >= 0 {
+				b := bs[r.BodyB]
+				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
+			}
+			err := r.RHS - vel - r.CFM*lambda[i]
+			lo, hi := r.Lo, r.Hi
+			if r.FrictionOf >= 0 {
+				limit := r.Mu * math.Abs(lambda[r.FrictionOf])
+				lo, hi = -limit, limit
+			}
+			if lambda[i] <= lo && err < 0 {
+				err = 0
+			}
+			if lambda[i] >= hi && err > 0 {
+				err = 0
+			}
+			st.Residual += math.Abs(err)
+			st.ImpulseNorm += math.Abs(lambda[i])
+		}
+	}
+	return lambda
+}
+
+// diffIsland is one seeded random solve: a world of bodies, an island
+// drawn from it in shuffled order, and rows addressing the island's
+// bodies by world index (worldRows) and by island-local index
+// (localRows).
+type diffIsland struct {
+	world                []*body.Body
+	island               []int32 // world index of each island-local slot
+	worldRows, localRows []joint.Row
+	numJoints            int
+}
+
+func randVec(r *rand.Rand, s float64) m3.Vec {
+	return m3.V((r.Float64()*2-1)*s, (r.Float64()*2-1)*s, (r.Float64()*2-1)*s)
+}
+
+// newDiffIsland draws a world of nWorld bodies — some immovable
+// (InvMass 0), all arbitrarily rotated boxes so the world inertia
+// differs per body — and an island of nIsland of them. Rows come as
+// contact triplets (a normal row plus two friction rows bounded by it)
+// and joint rows; endpoints are island bodies or the frozen static
+// world (-1), and one hub body takes part in most rows.
+func newDiffIsland(r *rand.Rand, nWorld, nIsland, nRows int) *diffIsland {
+	d := &diffIsland{numJoints: 1 + r.Intn(8)}
+	for i := 0; i < nWorld; i++ {
+		mass := 0.5 + r.Float64()*5
+		if r.Intn(5) == 0 {
+			mass = 0
+		}
+		half := m3.V(0.1+r.Float64(), 0.1+r.Float64(), 0.1+r.Float64())
+		b := body.New(mass, geom.Box{Half: half}.Inertia(mass))
+		b.ID = i
+		b.Pos = randVec(r, 5)
+		b.Rot = m3.QFromEuler(r.Float64()*6, r.Float64()*6, r.Float64()*6)
+		b.LinVel = randVec(r, 5)
+		b.AngVel = randVec(r, 3)
+		d.world = append(d.world, b)
+	}
+	for _, k := range r.Perm(nWorld)[:nIsland] {
+		d.island = append(d.island, int32(k))
+	}
+	hub := d.island[r.Intn(nIsland)]
+	endpoint := func() int32 {
+		switch r.Intn(6) {
+		case 0:
+			return -1
+		case 1, 2:
+			return hub
+		default:
+			return d.island[r.Intn(nIsland)]
+		}
+	}
+	row := func(a, b int32) joint.Row {
+		dir := randVec(r, 1).Norm()
+		if dir == m3.Zero {
+			dir = m3.V(0, 1, 0)
+		}
+		return joint.Row{
+			BodyA: a, BodyB: b,
+			JLinA: dir.Neg(), JLinB: dir,
+			JAngA: randVec(r, 1), JAngB: randVec(r, 1),
+			RHS: r.Float64()*4 - 2, CFM: 1e-9 * float64(r.Intn(3)),
+			Lo: math.Inf(-1), Hi: math.Inf(1),
+			FrictionOf: -1, Joint: -1,
+		}
+	}
+	for len(d.worldRows) < nRows {
+		a, b := endpoint(), endpoint()
+		if r.Intn(2) == 0 {
+			// Contact triplet: a non-negative normal impulse and two
+			// friction rows bounded by Mu times it.
+			normal := int32(len(d.worldRows))
+			nr := row(a, b)
+			nr.Lo, nr.Hi = 0, math.Inf(1)
+			d.worldRows = append(d.worldRows, nr)
+			for f := 0; f < 2; f++ {
+				fr := row(a, b)
+				fr.FrictionOf, fr.Mu = normal, r.Float64()
+				d.worldRows = append(d.worldRows, fr)
+			}
+		} else {
+			jr := row(a, b)
+			jr.Joint = int32(r.Intn(d.numJoints))
+			if r.Intn(2) == 0 {
+				jr.Lo, jr.Hi = -r.Float64()*3, r.Float64()*3
+			}
+			d.worldRows = append(d.worldRows, jr)
+		}
+	}
+	for i := range d.worldRows {
+		if r.Intn(3) == 0 {
+			d.worldRows[i].Warm = r.Float64()*2 - 1
+		}
+	}
+	slot := make(map[int32]int32, nIsland)
+	for k, wi := range d.island {
+		slot[wi] = int32(k)
+	}
+	d.localRows = append([]joint.Row(nil), d.worldRows...)
+	for i := range d.localRows {
+		lr := &d.localRows[i]
+		if lr.BodyA >= 0 {
+			lr.BodyA = slot[lr.BodyA]
+		}
+		if lr.BodyB >= 0 {
+			lr.BodyB = slot[lr.BodyB]
+		}
+	}
+	return d
+}
+
+// cloneBodies deep-copies a body list.
+func cloneBodies(bs []*body.Body) []*body.Body {
+	out := make([]*body.Body, len(bs))
+	for i, b := range bs {
+		c := *b
+		out[i] = &c
+	}
+	return out
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameVecBits(a, b m3.Vec) bool {
+	return sameBits(a.X, b.X) && sameBits(a.Y, b.Y) && sameBits(a.Z, b.Z)
+}
+
+// TestDenseSolveMatchesReference runs the island-local kernel and the
+// pointer-based reference on seeded random islands and requires
+// bit-identical velocities, impulses, joint loads and statistics. One
+// Workspace serves every trial, across islands that grow and shrink and
+// worlds of different body counts, so stale or mis-sized workspace
+// state shows up as a mismatch.
+func TestDenseSolveMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	ws := &Workspace{}
+	for trial := 0; trial < 200; trial++ {
+		nWorld := 1 + r.Intn(60)
+		nIsland := 1 + r.Intn(nWorld)
+		d := newDiffIsland(r, nWorld, nIsland, 1+r.Intn(120))
+		s := New()
+		if trial%4 == 3 {
+			s.SOR = 1.3
+		}
+
+		refWorld := cloneBodies(d.world)
+		refLoad := make([]float64, d.numJoints)
+		var refSt Stats
+		want := refSolve(s, refWorld, d.worldRows, testParams.Dt, refLoad, &refSt)
+
+		gotWorld := cloneBodies(d.world)
+		island := make([]*body.Body, len(d.island))
+		for k, wi := range d.island {
+			island[k] = gotWorld[wi]
+		}
+		gotLoad := make([]float64, d.numJoints)
+		var gotSt Stats
+		got := s.Solve(island, d.localRows, testParams.Dt, gotLoad, &gotSt, ws)
+
+		for i := range want {
+			if !sameBits(got[i], want[i]) {
+				t.Fatalf("trial %d: lambda[%d] = %v, reference %v", trial, i, got[i], want[i])
+			}
+		}
+		for i := range refWorld {
+			if !sameVecBits(gotWorld[i].LinVel, refWorld[i].LinVel) ||
+				!sameVecBits(gotWorld[i].AngVel, refWorld[i].AngVel) {
+				t.Fatalf("trial %d: body %d velocity (%v, %v), reference (%v, %v)", trial, i,
+					gotWorld[i].LinVel, gotWorld[i].AngVel, refWorld[i].LinVel, refWorld[i].AngVel)
+			}
+		}
+		for j := range refLoad {
+			if !sameBits(gotLoad[j], refLoad[j]) {
+				t.Fatalf("trial %d: jointLoad[%d] = %v, reference %v", trial, j, gotLoad[j], refLoad[j])
+			}
+		}
+		if gotSt.Rows != refSt.Rows || gotSt.RowUpdates != refSt.RowUpdates ||
+			!sameBits(gotSt.Residual, refSt.Residual) || !sameBits(gotSt.ImpulseNorm, refSt.ImpulseNorm) {
+			t.Fatalf("trial %d: stats %+v, reference %+v", trial, gotSt, refSt)
+		}
+	}
+}

@@ -2,6 +2,7 @@ package world
 
 import (
 	"github.com/parallax-arch/parallax/internal/obs"
+	"github.com/parallax-arch/parallax/internal/phys/body"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/island"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
@@ -64,9 +65,17 @@ type frameScratch struct {
 	// queued and main partition island indices (and later cloth indices)
 	// between the work queue and the main thread.
 	queued, main []int32
-	// Per-worker storage, indexed by pool worker id (0 = main thread).
-	rows []([]joint.Row)
-	ws   []solver.Workspace
+	// bodySlot maps a world body index to its index within its island's
+	// body list. Islands hold disjoint bodies, so parallel island solves
+	// write disjoint entries; an entry is only read by the solve that
+	// wrote it this step.
+	bodySlot []int32
+	// Per-worker storage, indexed by pool worker id (0 = main thread):
+	// the solving island's bodies in island-local order, its rows, and
+	// the solver workspace.
+	bodies [][]*body.Body
+	rows   []([]joint.Row)
+	ws     []solver.Workspace
 
 	// Warm starting: per-contact keys, manifold ordinals, the row base of
 	// each solved contact (-1 = not solved this step), and the per-row
@@ -161,16 +170,21 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
 		sc.rows = append(sc.rows[:cap(sc.rows)], make([][]joint.Row, threads-cap(sc.rows))...)
 		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
+		sc.bodies = append(sc.bodies[:cap(sc.bodies)], make([][]*body.Body, threads-cap(sc.bodies))...)
+		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
 		sc.ws = append(sc.ws[:cap(sc.ws)], make([]solver.Workspace, threads-cap(sc.ws))...)
 	}
 	sc.rows = sc.rows[:threads]
+	sc.bodies = sc.bodies[:threads]
 	sc.ws = sc.ws[:threads]
 }
 
-// beginIslands sizes the per-island and per-contact working sets.
+// beginIslands sizes the per-island, per-body and per-contact working
+// sets.
 //
 //paraxlint:noalloc
-func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
+func (sc *frameScratch) beginIslands(numIslands, numBodies, numContacts int, warm bool) {
+	sc.bodySlot = growInt32(sc.bodySlot, numBodies)
 	sc.solverStats = growStats(sc.solverStats, numIslands)
 	for i := range sc.solverStats {
 		sc.solverStats[i] = solver.Stats{}

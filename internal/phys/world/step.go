@@ -197,7 +197,7 @@ func (w *World) Step() {
 	// independent; big ones go on the work queue, small ones run on the
 	// main thread.
 	l0.Begin(w.spans.islandProc)
-	sc.beginIslands(len(islands), len(contacts), w.WarmStart)
+	sc.beginIslands(len(islands), len(w.Bodies), len(contacts), w.WarmStart)
 
 	// Warm starting: match this step's contacts to last step's impulses
 	// by (geom pair, ordinal within the pair's manifold).
@@ -399,7 +399,7 @@ func (w *World) narrowChunk(chunk, lo, hi int) {
 }
 
 // solveIsland forward-simulates one island: row assembly into the
-// worker's reusable row buffer and the LCP solve with the worker's
+// worker's reusable buffers and the LCP solve with the worker's
 // workspace. Velocity and position integration are chunk-parallel
 // passes outside the island solves (see Step). Islands touch disjoint
 // bodies, joints and contacts, so concurrent island solves never share
@@ -410,9 +410,46 @@ func (w *World) solveIsland(worker, idx int) {
 	lane := w.laneFor(worker)
 	lane.Begin(w.spans.island)
 	sc := &w.scratch
-	is := &sc.islands[idx]
+	bs, rows := w.assembleIsland(&sc.islands[idx], sc.bodies[worker], sc.rows[worker])
+	sc.bodies[worker], sc.rows[worker] = bs, rows // keep the grown capacity for the next island
+	lane.Begin(w.spans.solve)
+	lam := w.Solver.Solve(bs, rows, w.Dt, sc.jointLoad,
+		&sc.solverStats[idx], &sc.ws[worker])
+	lane.End(w.spans.solve)
+	if w.WarmStart {
+		for _, ci := range sc.islands[idx].Contacts {
+			base := sc.rowBase[ci]
+			copy(sc.warmLambda[int(ci)*joint.RowsPerContact:(int(ci)+1)*joint.RowsPerContact],
+				lam[base:int(base)+joint.RowsPerContact])
+		}
+	}
+	lane.End(w.spans.island)
+}
+
+// IslandRows assembles island i of the last step in the form
+// Solver.Solve takes it: the island's bodies (the world's own, so a
+// solve moves them) in island-local order, and its constraint rows
+// addressed by island-local index, built from the last step's contacts
+// and the current body state. Both slices are freshly allocated. It
+// lets kernel benchmarks and tests solve a real island outside Step;
+// i indexes Profile.Islands.
+func (w *World) IslandRows(i int) ([]*body.Body, []joint.Row) {
+	return w.assembleIsland(&w.scratch.islands[i], nil, nil)
+}
+
+// assembleIsland refills bs with the island's bodies in island-local
+// order and rows with its constraint rows, every row endpoint
+// rewritten from a world body index to its island-local index — the
+// form Solver.Solve takes. It records each contact's row base for the
+// warm-start gather and fills warm-start impulses from the cache.
+func (w *World) assembleIsland(is *island.Island, bs []*body.Body, rows []joint.Row) ([]*body.Body, []joint.Row) {
+	sc := &w.scratch
+	bs, rows = bs[:0], rows[:0]
+	for k, b := range is.Bodies {
+		sc.bodySlot[b] = int32(k)
+		bs = append(bs, w.Bodies[b])
+	}
 	p := w.params()
-	rows := sc.rows[worker][:0]
 	for _, ji := range is.Joints {
 		base := len(rows)
 		rows = w.Joints[ji].Rows(w.Bodies, p, ji, rows)
@@ -455,19 +492,18 @@ func (w *World) solveIsland(worker, idx int) {
 			}
 		}
 	}
-	sc.rows[worker] = rows // keep the grown capacity for the next island
-	lane.Begin(w.spans.solve)
-	lam := w.Solver.Solve(w.Bodies, rows, w.Dt, sc.jointLoad,
-		&sc.solverStats[idx], &sc.ws[worker])
-	lane.End(w.spans.solve)
-	if w.WarmStart {
-		for _, ci := range is.Contacts {
-			base := sc.rowBase[ci]
-			copy(sc.warmLambda[int(ci)*joint.RowsPerContact:(int(ci)+1)*joint.RowsPerContact],
-				lam[base:int(base)+joint.RowsPerContact])
+	// Every endpoint left unfrozen is solvable and connected to this
+	// island, so it is one of is.Bodies and its slot was written above.
+	for ri := range rows {
+		r := &rows[ri]
+		if r.BodyA >= 0 {
+			r.BodyA = sc.bodySlot[r.BodyA]
+		}
+		if r.BodyB >= 0 {
+			r.BodyB = sc.bodySlot[r.BodyB]
 		}
 	}
-	lane.End(w.spans.island)
+	return bs, rows
 }
 
 // refreshChunk is the broad-phase AABB refresh worker: it recomputes
